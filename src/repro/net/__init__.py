@@ -14,13 +14,14 @@ instead of an in-process callback or a simulated link:
   backoff with jitter on reconnect, bounded outbound queues with
   drop-oldest backpressure, and heartbeats, plus the frame server the
   receiving side listens with;
-* :mod:`repro.net.endpoint` — sender/receiver endpoints wiring a
-  :class:`~repro.core.partitioned.PartitionedMethod` to the transport:
-  the full adaptation loop (profiling feedback, trigger, min-cut
-  recompute, plan shipped back over the wire) across two OS processes;
-* :mod:`repro.net.broker` — the fan-out tier: one modulator publishing
+* :mod:`repro.net.broker` — the publisher: one modulator publishing
   to N subscribers, each on its own active PSE, with modulation shared
   up to the deepest common split and forked per peer;
+  :class:`NetSenderEndpoint` is the one-subscriber case;
+* :mod:`repro.net.endpoint` — the receiver endpoint: demodulator plus
+  the authoritative profiling and reconfiguration units, so the full
+  adaptation loop (profiling feedback, trigger, min-cut recompute, plan
+  shipped back over the wire) runs across OS processes;
 * :mod:`repro.net.live` — the runnable per-process half of the live
   harness (``python -m repro.net.live sender|receiver``), orchestrated
   by :mod:`repro.tools.liveexp`.

@@ -1,12 +1,14 @@
-"""Fan-out broker: one modulator, N heterogeneous subscribers.
+"""The publisher: one modulator, N heterogeneous subscribers.
 
-The paper's host (JECho) is a multi-client event system; this module
-grows :mod:`repro.net` from the strictly two-process sender/receiver
-pair into that shape.  A :class:`NetBrokerEndpoint` publishes every
-event to many subscribers, each of which runs its **own active PSE**
-chosen from the same ConvexCut analysis — a slow peer converges to a
-receiver-light split, a fast peer to a sender-light one, and both are
-fed from a single shared modulation:
+The paper's host (JECho) is a multi-client event system, and each
+subscriber's split is one entry in the publisher's per-client state.
+This module is the only publisher in :mod:`repro.net`: a
+:class:`NetBrokerEndpoint` publishes every event to many subscribers,
+each of which runs its **own active PSE** chosen from the same
+ConvexCut analysis — a slow peer converges to a receiver-light split, a
+fast peer to a sender-light one, and both are fed from a single shared
+modulation.  :class:`NetSenderEndpoint`, the classic two-process
+sender, is this broker with exactly one subscriber.
 
 * **Deepest common split** — per message the broker runs the handler
   once under the *union* of all subscriber plans
@@ -26,14 +28,43 @@ fed from a single shared modulation:
   shrinking anyone else's.
 * **Per-peer control plane** — every subscriber's receiver owns its
   authoritative Profiling/Reconfiguration Units and ships PLAN frames
-  back on its own connection; the broker applies them per peer (with
-  the same version idempotency as :class:`NetSenderEndpoint`) and
-  rebuilds the union hook lazily.
+  back on its own connection; the broker applies them per peer with
+  version idempotency and rebuilds the union hook lazily.
 * **Per-peer observability** — labeled gauges/counters
   (``broker.queue_depth{peer="..."}`` etc.) flow through the existing
   OpenMetrics exposition, and fork spans join the shared ``modulate``
   span so a merged trace shows one modulation fanning out to N
   demodulations.
+
+Rules of the single publish path (each holds per subscriber):
+
+1. **Send failure** — a continuation whose send raises
+   :class:`~repro.errors.TransportError` completes locally (counted in
+   ``absorbed``) and feeds that peer's breaker; the other subscribers
+   still get the message.  So ``shipped + completed_locally + elided ==
+   published`` holds for every subscriber whatever the network does.
+2. **FEEDBACK frames** — every ``feedback_period`` publishes each
+   subscriber's buffered profiling ships with the context of a
+   ``feedback.flush`` span, so the receiver's ingest joins its trace.
+3. **Proxy observability** — every subscriber's
+   :class:`~repro.core.runtime.feedback.RemoteProfilingProxy` gets the
+   broker's ``obs`` (``feedback.*`` counters, ``FeedbackSent``).
+4. **Retraction** — each subscriber has a circuit breaker, tripped by
+   its health machine going wedged or by failures.  A trip starts a
+   bounded drain-then-swap: the plan switches to sender-heavy once the
+   peer's outbound queue drained (or ``drain_timeout`` passed);
+   meanwhile the open breaker absorbs every publish.  With an empty
+   queue the swap is immediate.  A close re-splits.
+5. **Noop-resume elision** — a continuation whose receiver tail does
+   nothing is not shipped; it counts in ``elided`` and as a local
+   completion in the profiling stream.
+6. **Deferred plans** — a PLAN frame arriving while the peer is
+   retracting or retracted is parked; newest version wins, and among
+   equal versions (unversioned legacy frames) the later arrival.  The
+   parked plan is applied on re-split in preference to the saved one:
+   it passed the idempotency check, so it is newer.
+7. **Resilience dump** — :meth:`NetBrokerEndpoint.resilience_dump`
+   reports breaker and retraction state per peer.
 """
 
 from __future__ import annotations
@@ -60,7 +91,6 @@ from repro.jecho.events import (
     FeedbackEnvelope,
     PlanEnvelope,
 )
-from repro.net.endpoint import _adopt_rate
 from repro.net.framing import FEATURE_ELECTION, Bye, Election, Telemetry
 from repro.net.resilience import (
     BREAKER_CLOSED,
@@ -81,7 +111,34 @@ from repro.obs.health import (
 from repro.obs.trace import ContinuationShipped
 from repro.serialization import measure_size
 
-__all__ = ["PlanRuntimeCache", "BrokerSubscriber", "NetBrokerEndpoint"]
+__all__ = [
+    "PlanRuntimeCache",
+    "BrokerSubscriber",
+    "NetBrokerEndpoint",
+    "NetSenderEndpoint",
+]
+
+#: relative change below which a recalibrated rate is considered noise
+RATE_HYSTERESIS = 0.25
+
+
+def _adopt_rate(current: float, fresh: Optional[float]) -> float:
+    """Adopt a recalibrated seconds-per-cycle only on a material change.
+
+    Successive timed calibrations of an unchanged host land within
+    timer noise of each other, but adopting every measurement rescales
+    all subsequently profiled sender costs — after each plan transition
+    the cost model shifts a little, which can flap a knife-edge min-cut
+    on every recompute.  A fresh rate within :data:`RATE_HYSTERESIS` of
+    the current one is "same host, same speed" and is discarded; a
+    material change (the actual staleness the post-transition refresh
+    guards against) is adopted as measured.
+    """
+    if fresh is None or fresh <= 0.0:
+        return current
+    if abs(fresh - current) <= RATE_HYSTERESIS * current:
+        return current
+    return fresh
 
 
 class PlanRuntimeCache:
@@ -172,10 +229,10 @@ class BrokerSubscriber:
         self.breaker: Optional[CircuitBreaker] = None
         self.bulkhead: Optional[Bulkhead] = None
         #: publishes whose tail ran fully broker-side because the
-        #: breaker was open (the live half of a retraction)
+        #: breaker was open (the live half of a retraction) or the send
+        #: failed; each one is also counted in ``completed_locally``
         self.absorbed = 0
-        #: ship attempts refused at the last gate (forced-edge ship
-        #: while open, or bulkhead admission rejected)
+        #: ships shed because bulkhead admission was refused
         self.ships_suppressed = 0
         #: retraction state: ``retracting`` while the outbound queue
         #: drains, ``retracted`` once the plan has switched sender-side
@@ -184,9 +241,8 @@ class BrokerSubscriber:
         self.retraction_deadline: Optional[float] = None
         self.retractions = 0
         self.resplits = 0
-        #: the split to restore on recovery (plan + idempotency version)
+        #: the split to restore on recovery
         self.saved_plan: Optional[PartitioningPlan] = None
-        self.saved_plan_version = 0
         #: newest PLAN frame deferred while retracted (kept, not lost)
         self.pending_plan: Optional[PlanEnvelope] = None
         self.plans_deferred = 0
@@ -220,6 +276,45 @@ class BrokerSubscriber:
         if self.peer.last_rtt is not None:
             self._g_rtt.set(self.peer.last_rtt)
 
+    def resilience_dict(self) -> Dict[str, object]:
+        """Breaker, bulkhead and retraction state of this peer."""
+        return {
+            "breaker": (
+                self.breaker.to_dict() if self.breaker is not None else None
+            ),
+            "bulkhead": (
+                self.bulkhead.to_dict() if self.bulkhead is not None else None
+            ),
+            "absorbed": self.absorbed,
+            "ships_suppressed": self.ships_suppressed,
+            "retracting": self.retracting,
+            "retracted": self.retracted,
+            "retractions": self.retractions,
+            "resplits": self.resplits,
+            "plans_deferred": self.plans_deferred,
+        }
+
+    def transport_dict(self) -> Dict[str, object]:
+        """The peer connection's counters."""
+        peer = self.peer
+        return {
+            "queued": peer.queued,
+            "connections": peer.connections,
+            "reconnects": peer.reconnects,
+            "dropped_frames": peer.dropped_frames,
+            "frames_sent": peer.frames_sent,
+            "frame_bytes_sent": peer.frame_bytes_sent,
+            "heartbeats_sent": peer.heartbeats_sent,
+            "heartbeats_echoed": peer.heartbeats_seen,
+            "send_timeouts": peer.send_timeouts,
+            "last_rtt": peer.last_rtt,
+            "batching_negotiated": peer._batch_ok,
+            "telemetry_negotiated": peer.telemetry_negotiated,
+            "telemetry_frames_seen": peer.telemetry_frames_seen,
+            "batches_sent": peer.batches_sent,
+            "batched_frames_sent": peer.batched_frames_sent,
+        }
+
     def to_dict(self) -> Dict[str, object]:
         return {
             "name": self.name,
@@ -243,40 +338,8 @@ class BrokerSubscriber:
             "health": (
                 self.health.to_dict() if self.health is not None else None
             ),
-            "breaker": (
-                self.breaker.to_dict()
-                if self.breaker is not None
-                else None
-            ),
-            "bulkhead": (
-                self.bulkhead.to_dict()
-                if self.bulkhead is not None
-                else None
-            ),
-            "absorbed": self.absorbed,
-            "ships_suppressed": self.ships_suppressed,
-            "retracting": self.retracting,
-            "retracted": self.retracted,
-            "retractions": self.retractions,
-            "resplits": self.resplits,
-            "plans_deferred": self.plans_deferred,
-            "transport": {
-                "queued": self.peer.queued,
-                "connections": self.peer.connections,
-                "reconnects": self.peer.reconnects,
-                "dropped_frames": self.peer.dropped_frames,
-                "frames_sent": self.peer.frames_sent,
-                "frame_bytes_sent": self.peer.frame_bytes_sent,
-                "heartbeats_sent": self.peer.heartbeats_sent,
-                "heartbeats_echoed": self.peer.heartbeats_seen,
-                "send_timeouts": self.peer.send_timeouts,
-                "last_rtt": self.peer.last_rtt,
-                "batching_negotiated": self.peer._batch_ok,
-                "telemetry_negotiated": self.peer.telemetry_negotiated,
-                "telemetry_frames_seen": self.peer.telemetry_frames_seen,
-                "batches_sent": self.peer.batches_sent,
-                "batched_frames_sent": self.peer.batched_frames_sent,
-            },
+            **self.resilience_dict(),
+            "transport": self.transport_dict(),
         }
 
 
@@ -306,6 +369,14 @@ class NetBrokerEndpoint:
         breaker_config: Optional[BreakerConfig] = None,
         resilience: bool = True,
     ) -> None:
+        """``rate_override`` records a *calibrated* seconds-per-cycle
+        (see :func:`repro.net.live._calibrate`) instead of the raw
+        per-message wall clock, which fixed per-call overhead dominates
+        when the modulator's share of work is tiny.  A calibration holds
+        only for the split it was taken under, so every plan change
+        marks it stale and the next publish refreshes it: via
+        ``recalibrate`` (a callable returning seconds-per-cycle) when
+        given, else :meth:`_recalibrate_against`."""
         if feedback_period < 1:
             raise ValueError("feedback_period must be >= 1")
         if health_interval < 0:
@@ -362,6 +433,9 @@ class NetBrokerEndpoint:
             breaker_config if breaker_config is not None else BreakerConfig()
         )
         self._retraction_plan = sender_heavy_plan(partitioned.cut)
+        #: this process's copy of the receiver tail, built on first use
+        #: to complete continuations that cannot be shipped
+        self._local_demod = None
         self.retractions = 0
         self.resplits = 0
         #: the last receiver to announce coordinatorship via a relayed
@@ -399,7 +473,7 @@ class NetBrokerEndpoint:
                 'net.publish.phase_seconds{phase="ship"}'
             )
             obs.add_section("fleet", self.health.to_dict)
-            obs.add_section("resilience", self._resilience_dump)
+            obs.add_section("resilience", self.resilience_dump)
         else:
             self._c_published = None
             self._c_forks = None
@@ -446,6 +520,16 @@ class NetBrokerEndpoint:
                 queue_limit if queue_limit is not None else self.queue_limit
             ),
         )
+        return self._attach(peer, label, plan=plan)
+
+    def _attach(
+        self,
+        peer: TcpPeer,
+        label: str,
+        *,
+        plan: Optional[PartitioningPlan] = None,
+        subscription_id: Optional[int] = None,
+    ) -> BrokerSubscriber:
         with self.lock:
             if peer in self._by_peer:
                 raise TransportError(
@@ -454,10 +538,16 @@ class NetBrokerEndpoint:
             sub = BrokerSubscriber(
                 name=label,
                 peer=peer,
-                subscription_id=len(self.subscribers) + 1,
+                subscription_id=(
+                    subscription_id
+                    if subscription_id is not None
+                    else len(self.subscribers) + 1
+                ),
                 plan=plan or self.default_plan,
                 proxy=RemoteProfilingProxy(
-                    self.partitioned.cut, sample_period=self.sample_period
+                    self.partitioned.cut,
+                    sample_period=self.sample_period,
+                    obs=self.obs,
                 ),
             )
             sub.health = self.health.peer(label)
@@ -799,7 +889,13 @@ class NetBrokerEndpoint:
         *,
         shared: bool,
     ) -> None:
-        """Send one continuation to one subscriber (lock held)."""
+        """Send one continuation to one subscriber (lock held).
+
+        A continuation that cannot go out completes here instead
+        (:meth:`_complete_locally`): when the breaker is open, and when
+        the send itself raises — which also feeds the breaker.  Either
+        way the other subscribers are unaffected and nothing is lost.
+        """
         pse = self.partitioned.cut.pses.get(message.edge)
         if pse is not None and pse.noop_resume and not message.variables:
             sub.proxy.record_local_completion()
@@ -807,20 +903,28 @@ class NetBrokerEndpoint:
             return
         br = sub.breaker
         if br is not None and br.state == BREAKER_OPEN:
-            # Reachable only for a forced-edge split surviving the
-            # sender-heavy absorb resume: nowhere left to run it.
-            self._suppress_ship(sub, "breaker open")
+            # Reachable only from the absorb fork: its sender-heavy
+            # resume stopped at a forced edge, whose StopNode only the
+            # receiver tail can run — this process's copy of it does.
+            self._complete_locally(sub, message)
             return
         bh = sub.bulkhead
         if bh is not None and not bh.admit(sub.peer.queued):
             # Admission refused before paying for the encode: the
             # peer's outbound queue already holds `limit` frames, so
             # drop-oldest shedding was imminent anyway.
-            self._suppress_ship(sub, "bulkhead full")
+            sub.ships_suppressed += 1
+            sub.proxy.record_local_completion()
+            if self._c_suppressed is not None:
+                self._c_suppressed.inc()
+            flight = self._flight()
+            if flight is not None:
+                flight.record(
+                    "breaker.suppress", peer=sub.name, reason="bulkhead full"
+                )
             if br is not None:
                 br.record_failure("bulkhead full")
             return
-        sub.proxy.record_mod_total(total_cycles)
         ship_started = (
             time.perf_counter() if self._h_phase_ship is not None else None
         )
@@ -837,7 +941,17 @@ class NetBrokerEndpoint:
             tracer = self.obs.tracing
             if tracer is not None:
                 tracer.observe_pse(str(message.pse_id), size=size)
-        self.transport.send(sub.peer, envelope, size)
+        try:
+            self.transport.send(sub.peer, envelope, size)
+        except TransportError as exc:
+            sub.absorbed += 1
+            if self._c_absorbed is not None:
+                self._c_absorbed.inc()
+            if br is not None:
+                br.record_failure(f"send failed: {exc}")
+            self._complete_locally(sub, message)
+            return
+        sub.proxy.record_mod_total(total_cycles)
         if ship_started is not None:
             self._h_phase_ship.observe(time.perf_counter() - ship_started)
         sub.shipped += 1
@@ -845,6 +959,26 @@ class NetBrokerEndpoint:
             sub.shared_ships += 1
         if sub._c_shipped is not None:
             sub._c_shipped.inc()
+
+    def _complete_locally(
+        self, sub: BrokerSubscriber, message: ContinuationMessage
+    ) -> None:
+        """Run a continuation's receiver tail in this process (lock held).
+
+        Both sides build the same partitioned method from the same
+        program text, so resuming here is semantically identical to
+        resuming across the wire, minus the bytes.  The message is
+        cloned through the codec first: it may be the shared
+        continuation that later subscribers still encode.
+        """
+        if self._local_demod is None:
+            self._local_demod = self.partitioned.make_demodulator(
+                record_rates=False
+            )
+        codec = self.partitioned.codec
+        self._local_demod.process(codec.decode(codec.encode(message)))
+        sub.proxy.record_local_completion()
+        sub.completed_locally += 1
 
     def _record_rate(
         self, sub: BrokerSubscriber, cycles: float, elapsed: float
@@ -881,26 +1015,26 @@ class NetBrokerEndpoint:
             ph.note_rtt(peer.last_rtt)
         ph.note_sheds(peer.dropped_frames)
 
-    def _health_loop(self) -> None:
-        """Background evaluator: staleness ticks even when idle."""
-        while not self._health_stop.wait(self.health_interval):
-            with self.lock:
-                for sub in self.subscribers:
-                    self._feed_sub_health(sub)
-                self.health.evaluate_all()
-                now = time.monotonic()
-                for sub in self.subscribers:
-                    self._resilience_tick(sub, now)
-
-    def _after_publish(self, span, *, outcome: str, **attrs) -> None:
-        """Gauges, feedback cadence, span close (lock held)."""
+    def _tick_fleet(self) -> None:
+        """Feed every peer's health, then advance its breaker (lock held)."""
         for sub in self.subscribers:
-            sub.refresh_gauges()
             self._feed_sub_health(sub)
         self.health.evaluate_all()
         now = time.monotonic()
         for sub in self.subscribers:
             self._resilience_tick(sub, now)
+
+    def _health_loop(self) -> None:
+        """Background evaluator: staleness ticks even when idle."""
+        while not self._health_stop.wait(self.health_interval):
+            with self.lock:
+                self._tick_fleet()
+
+    def _after_publish(self, span, *, outcome: str, **attrs) -> None:
+        """Gauges, health, feedback cadence, span close (lock held)."""
+        for sub in self.subscribers:
+            sub.refresh_gauges()
+        self._tick_fleet()
         if self.published % self.feedback_period == 0:
             for sub in self.subscribers:
                 if sub.proxy.pending > 0:
@@ -913,16 +1047,39 @@ class NetBrokerEndpoint:
             self.obs.tracing.end(span)
 
     def _flush_feedback(self, sub: BrokerSubscriber) -> None:
+        """Ship one peer's buffered observations as FEEDBACK (lock held).
+
+        The flush opens a ``feedback.flush`` span and the frame carries
+        its context, so the receiver's ingest joins the flush's trace.
+        """
         payload, size = sub.proxy.flush()
         envelope = FeedbackEnvelope(
             subscription_id=sub.subscription_id, demod_stats=payload
         )
+        tracer = self._tracer()
+        if tracer is not None:
+            trace_id = tracer.start_trace(force=True)
+            now = tracer.clock()
+            flush_span = tracer.record(
+                "feedback.flush",
+                trace_id=trace_id,
+                start=now,
+                end=now,
+                attrs={"records": len(payload), "bytes": size},
+            )
+            envelope.trace = (trace_id, flush_span.span_id)
         self.transport.send(sub.peer, envelope, size)
         sub.feedback_flushes += 1
 
     def _recalibrate_against(self, event: object, repeats: int = 5) -> float:
-        """Same lazy post-transition recalibration as NetSenderEndpoint:
-        min-of-repeats, so noise spikes never inflate the estimate."""
+        """Timed full-handler runs → fresh seconds-per-cycle (lock held).
+
+        Mirrors the startup calibration on the event in hand.  The rate
+        is the *minimum* over the repeats: noise only ever inflates a
+        run, and a stable estimate keeps successive recomputes from
+        flapping a knife-edge min-cut.  The runs' deliveries land in
+        this process's local sink, which the publisher never reads.
+        """
         best = None
         for _ in range(repeats):
             meter = CycleMeter()
@@ -935,7 +1092,7 @@ class NetBrokerEndpoint:
                 rate = elapsed / meter.cycles
                 best = rate if best is None else min(best, rate)
         if best is None:
-            return self.rate_override
+            return self.rate_override  # nothing measurable; keep the old rate
         return best
 
     # -- resilience plane (breaker / retraction / re-split) ----------------------
@@ -1016,8 +1173,7 @@ class NetBrokerEndpoint:
         ):
             return
         sub.saved_plan = sub.plan
-        sub.saved_plan_version = sub.plan_version_applied
-        sub.plan = self._retraction_plan
+        self._set_plan(sub, self._retraction_plan)
         sub.retracting = False
         sub.retracted = True
         sub.retraction_deadline = None
@@ -1025,9 +1181,6 @@ class NetBrokerEndpoint:
         self.retractions += 1
         if self._c_retractions is not None:
             self._c_retractions.inc()
-        self._union_dirty = True
-        if self.rate_override is not None:
-            self._rate_stale = True
         flight = self._flight()
         if flight is not None:
             flight.record(
@@ -1041,43 +1194,35 @@ class NetBrokerEndpoint:
         """Restore the split after the breaker closed (recovery).
 
         The receiver may have shipped newer PLAN frames while retracted
-        (they were deferred, not applied); the newest deferred version
-        wins over the saved pre-trip plan.
+        (they were deferred, not applied).  A deferred plan wins over
+        the saved pre-trip plan: it passed the idempotency check, so it
+        is newer than anything applied before the trip.
         """
         if not (sub.retracting or sub.retracted):
             return
-        target: Optional[PartitioningPlan] = None
-        version = 0
-        pending = sub.pending_plan
-        if pending is not None and pending.version > sub.saved_plan_version:
-            target = pending.plan
-            version = pending.version
-        elif sub.saved_plan is not None:
-            target = sub.saved_plan
-            version = sub.saved_plan_version
+        pending, saved = sub.pending_plan, sub.saved_plan
         sub.pending_plan = None
+        sub.saved_plan = None
         sub.retracting = False
         sub.retracted = False
         sub.retraction_deadline = None
-        if target is None:
-            return
-        sub.plan = target
-        if version > sub.plan_version_applied:
-            sub.plan_version_applied = version
+        if pending is not None:
+            self._apply_plan(sub, pending)
+        elif saved is not None:
+            self._set_plan(sub, saved)
+        else:
+            return  # closed before the swap happened: nothing to restore
         sub.resplits += 1
         self.resplits += 1
         if self._c_resplits is not None:
             self._c_resplits.inc()
-        self._union_dirty = True
-        if self.rate_override is not None:
-            self._rate_stale = True
         flight = self._flight()
         if flight is not None:
             flight.record(
                 "breaker.resplit",
                 peer=sub.name,
-                plan=target.name,
-                version=version,
+                plan=sub.plan.name,
+                version=sub.plan_version_applied,
             )
 
     def _resilience_tick(self, sub: BrokerSubscriber, now: float) -> None:
@@ -1085,24 +1230,27 @@ class NetBrokerEndpoint:
         br = sub.breaker
         if br is None:
             return
+        # Breaker calls run on the breaker's own clock; *now* is the
+        # transport's monotonic clock, for last_heard and the drain
+        # deadline.
         # Send failures count toward the trip threshold even while the
         # health machine still calls the peer degraded.
         delta = sub.peer.send_timeouts - sub._send_timeouts_fed
         if delta > 0:
             sub._send_timeouts_fed = sub.peer.send_timeouts
             for _ in range(min(delta, 8)):
-                br.record_failure("send timeout", now)
+                br.record_failure("send timeout")
         if br.state == BREAKER_OPEN:
             # Advancing past the probe backoff transitions to half-open
             # (the consumed probe admits the next publish's ship).
-            br.allow(now)
+            br.allow()
         if br.state == BREAKER_HALF_OPEN:
             # Half-open: judge the probe window on connectivity + the
             # health machine's verdict + signal freshness.
             ph = sub.health
             state = ph.state if ph is not None else None
             if not sub.peer.connected or state == WEDGED:
-                br.record_failure("peer still wedged", now)
+                br.record_failure("peer still wedged")
             else:
                 last = sub.peer.last_heard
                 fresh = (
@@ -1110,22 +1258,12 @@ class NetBrokerEndpoint:
                     and now - last < self.health.config.stale_degraded
                 )
                 if fresh:
-                    br.record_success(now)
+                    br.record_success()
         if sub.retracting:
             self._maybe_complete_retraction(sub, now)
 
-    def _suppress_ship(self, sub: BrokerSubscriber, reason: str) -> None:
-        sub.ships_suppressed += 1
-        sub.proxy.record_local_completion()
-        if self._c_suppressed is not None:
-            self._c_suppressed.inc()
-        flight = self._flight()
-        if flight is not None:
-            flight.record(
-                "breaker.suppress", peer=sub.name, reason=reason
-            )
-
-    def _resilience_dump(self) -> Dict[str, object]:
+    def resilience_dump(self) -> Dict[str, object]:
+        """Breaker + retraction state per peer, for dashboards and dumps."""
         return {
             "retractions": self.retractions,
             "resplits": self.resplits,
@@ -1134,24 +1272,7 @@ class NetBrokerEndpoint:
             "election_frames": self.election_frames,
             "elections_relayed": self.elections_relayed,
             "peers": {
-                sub.name: {
-                    "breaker": (
-                        sub.breaker.to_dict()
-                        if sub.breaker is not None
-                        else None
-                    ),
-                    "bulkhead": (
-                        sub.bulkhead.to_dict()
-                        if sub.bulkhead is not None
-                        else None
-                    ),
-                    "retracting": sub.retracting,
-                    "retracted": sub.retracted,
-                    "absorbed": sub.absorbed,
-                    "ships_suppressed": sub.ships_suppressed,
-                    "plans_deferred": sub.plans_deferred,
-                }
-                for sub in self.subscribers
+                sub.name: sub.resilience_dict() for sub in self.subscribers
             },
         }
 
@@ -1183,7 +1304,9 @@ class NetBrokerEndpoint:
             if sub.retracting or sub.retracted:
                 # The peer is mid-retraction: defer the update instead
                 # of re-splitting toward a tripped peer.  Newest
-                # version wins; _resplit applies it on recovery.
+                # version wins (the later arrival among equal ones,
+                # i.e. unversioned legacy frames); _resplit applies it
+                # on recovery.
                 if (
                     sub.pending_plan is None
                     or envelope.version >= sub.pending_plan.version
@@ -1191,21 +1314,7 @@ class NetBrokerEndpoint:
                     sub.pending_plan = envelope
                 sub.plans_deferred += 1
                 return
-            sub.plan = envelope.plan
-            if envelope.version:
-                sub.plan_version_applied = envelope.version
-            sub.plan_updates_applied += 1
-            self.plan_updates_applied += 1
-            sub.plans_seen.append(
-                ",".join(str(e) for e in sorted(envelope.plan.active))
-            )
-            if self._c_plan_updates is not None:
-                self._c_plan_updates.inc()
-            if sub._c_plan_updates is not None:
-                sub._c_plan_updates.inc()
-            self._union_dirty = True
-            if self.rate_override is not None:
-                self._rate_stale = True
+            self._apply_plan(sub, envelope)
         if tracer is not None and envelope.trace is not None:
             now = tracer.clock()
             tracer.record(
@@ -1216,6 +1325,34 @@ class NetBrokerEndpoint:
                 end=now,
                 attrs={"plan": envelope.plan.name, "peer": sub.name},
             )
+
+    def _apply_plan(self, sub: BrokerSubscriber, envelope: PlanEnvelope) -> None:
+        """Install a PLAN frame's plan for *sub* (lock held)."""
+        self._set_plan(sub, envelope.plan)
+        if envelope.version:
+            sub.plan_version_applied = envelope.version
+        sub.plan_updates_applied += 1
+        self.plan_updates_applied += 1
+        sub.plans_seen.append(
+            ",".join(str(e) for e in sorted(envelope.plan.active))
+        )
+        if self._c_plan_updates is not None:
+            self._c_plan_updates.inc()
+        if sub._c_plan_updates is not None:
+            sub._c_plan_updates.inc()
+
+    def _set_plan(self, sub: BrokerSubscriber, plan: PartitioningPlan) -> None:
+        """Switch *sub*'s split (lock held).
+
+        The union hook is rebuilt lazily, and a calibrated rate goes
+        stale: it was taken under the old split.  The refresh happens on
+        the next :meth:`publish`, where an event to calibrate against
+        arrives.
+        """
+        sub.plan = plan
+        self._union_dirty = True
+        if self.rate_override is not None:
+            self._rate_stale = True
 
     def _relay_election(self, envelope: Election, peer: TcpPeer) -> None:
         """Fan an ELECTION frame out to the other receivers.
@@ -1352,3 +1489,66 @@ class NetBrokerEndpoint:
                     sub.to_dict() for sub in self.subscribers
                 ],
             }
+
+
+class NetSenderEndpoint(NetBrokerEndpoint):
+    """The two-process sender: a broker with exactly one subscriber.
+
+    Publishing, recalibration, retraction, PLAN handling, telemetry
+    ingest and feedback flushing are the broker's; this class only
+    subscribes ``peer`` and reads that subscriber's counters back
+    under the names a single-peer caller expects.  Per-peer state lives
+    on :attr:`subscriber`.
+    """
+
+    def __init__(
+        self,
+        partitioned: PartitionedMethod,
+        transport: TcpTransport,
+        peer: TcpPeer,
+        *,
+        subscription_id: int = 1,
+        plan: Optional[PartitioningPlan] = None,
+        sample_period: int = 1,
+        feedback_period: int = 8,
+        rate_override: Optional[float] = None,
+        recalibrate=None,
+        obs=None,
+        health_config: Optional[HealthConfig] = None,
+        breaker_config: Optional[BreakerConfig] = None,
+        resilience: bool = True,
+    ) -> None:
+        super().__init__(
+            partitioned,
+            transport,
+            plan=plan,
+            sample_period=sample_period,
+            feedback_period=feedback_period,
+            rate_override=rate_override,
+            recalibrate=recalibrate,
+            obs=obs,
+            health_config=health_config,
+            breaker_config=breaker_config,
+            resilience=resilience,
+        )
+        self.subscriber = self._attach(
+            peer, peer.name, subscription_id=subscription_id
+        )
+
+    @property
+    def shipped(self) -> int:
+        return self.subscriber.shipped
+
+    @property
+    def completed_locally(self) -> int:
+        """Local completions, elided ships included."""
+        return self.subscriber.completed_locally + self.subscriber.elided
+
+    @property
+    def absorbed(self) -> int:
+        return self.subscriber.absorbed
+
+    @property
+    def current_plan_edges(self) -> Tuple[Edge, ...]:
+        with self.lock:
+            return self.subscriber.plan_edges

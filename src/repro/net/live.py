@@ -52,8 +52,8 @@ from repro.apps.sensor.data import make_reading
 from repro.apps.sensor.pipeline import build_partitioned_process
 from repro.core.plan import receiver_heavy_plan
 from repro.core.runtime.triggers import RateTrigger
-from repro.net.broker import NetBrokerEndpoint
-from repro.net.endpoint import NetReceiverEndpoint, NetSenderEndpoint
+from repro.net.broker import NetBrokerEndpoint, NetSenderEndpoint
+from repro.net.endpoint import NetReceiverEndpoint
 from repro.net.framing import NetEnvelopeCodec
 from repro.net.tcp import TcpTransport
 from repro.obs import Observability, wide_event
@@ -344,19 +344,28 @@ def run_receiver(args: argparse.Namespace) -> Dict[str, object]:
     }
 
 
-def run_sender(args: argparse.Namespace) -> Dict[str, object]:
-    obs = _observability(
-        "sender", SENDER_ID_BASE, args.out, **_obs_args(args)
-    )
-    partitioned, _sink = build_partitioned_process(
+def _publisher_setup(args: argparse.Namespace, role: str, **transport_options):
+    """The publisher process's set-up, shared by sender and broker.
+
+    Returns ``(obs, partitioned, transport, options)``: observability,
+    the partitioned handler, a started transport, and the endpoint
+    options (initial plan, calibrated host rate and its refresher).
+    """
+    obs = _observability(role, SENDER_ID_BASE, args.out, **_obs_args(args))
+    partitioned, sink = build_partitioned_process(
         n_stages=args.n_stages, backend=args.backend
     )
-    plan = receiver_heavy_plan(partitioned.cut)
-    rate = _calibrate(partitioned, _sink, args.samples)
-    codec = NetEnvelopeCodec(partitioned.serializer_registry)
+    options = dict(
+        plan=receiver_heavy_plan(partitioned.cut),
+        feedback_period=args.feedback_period,
+        rate_override=_calibrate(partitioned, sink, args.samples),
+        recalibrate=lambda: _calibrate(partitioned, sink, args.samples),
+        obs=obs,
+        health_config=_health_config(args),
+    )
     transport = TcpTransport(
-        codec,
-        name="sender",
+        NetEnvelopeCodec(partitioned.serializer_registry),
+        name=role,
         heartbeat_interval=args.heartbeat,
         connect_timeout=args.timeout,
         send_timeout=5.0,
@@ -364,21 +373,19 @@ def run_sender(args: argparse.Namespace) -> Dict[str, object]:
         flush_max_bytes=args.flush_max_bytes,
         flush_max_count=args.flush_max_count,
         flush_interval=args.flush_interval,
+        **transport_options,
     )
     transport.attach_observability(obs, name="transport.tcp")
     transport.start()
-    peer = transport.peer(args.host, args.port)
-    endpoint = NetSenderEndpoint(
-        partitioned,
-        transport,
-        peer,
-        plan=plan,
-        feedback_period=args.feedback_period,
-        rate_override=rate,
-        recalibrate=lambda: _calibrate(partitioned, _sink, args.samples),
-        obs=obs,
-        health_config=_health_config(args),
-    )
+    return obs, partitioned, transport, options
+
+
+def _stream(args: argparse.Namespace, endpoint, transport, obs):
+    """Publish the workload, say goodbye and drain.
+
+    Returns ``(started, drained)``: the stream's wall-clock start and
+    whether every outbound queue drained.
+    """
     if args.expose is not None:
         exposer = endpoint.expose_metrics(args.host, args.expose)
         print(f"EXPOSING {exposer.port}", flush=True)
@@ -390,19 +397,30 @@ def run_sender(args: argparse.Namespace) -> Dict[str, object]:
     endpoint.finish()
     drained = transport.drain(args.timeout)
     _finish_profile(obs)
+    return started, drained
+
+
+def run_sender(args: argparse.Namespace) -> Dict[str, object]:
+    obs, partitioned, transport, options = _publisher_setup(args, "sender")
+    plan = options["plan"]
+    endpoint = NetSenderEndpoint(
+        partitioned, transport, transport.peer(args.host, args.port), **options
+    )
+    started, drained = _stream(args, endpoint, transport, obs)
     # Leave a window for a PLAN frame racing the tail of the stream.
     time.sleep(0.3)
     elapsed = time.time() - started
+    sub = endpoint.subscriber
     result = {
         "role": "sender",
         "published": endpoint.published,
         "shipped": endpoint.shipped,
         "completed_locally": endpoint.completed_locally,
-        "feedback_flushes": endpoint.feedback_flushes,
-        "plan_updates_applied": endpoint.plan_updates_applied,
-        "plan_duplicates_ignored": endpoint.plan_duplicates_ignored,
-        "telemetry_seen": endpoint.telemetry_seen,
-        "resilience": endpoint.resilience_dump(),
+        "feedback_flushes": sub.feedback_flushes,
+        "plan_updates_applied": sub.plan_updates_applied,
+        "plan_duplicates_ignored": sub.plan_duplicates_ignored,
+        "telemetry_seen": sub.telemetry_frames,
+        "resilience": sub.resilience_dict(),
         "peer_health": endpoint.health.to_dict(),
         "initial_plan_edges": sorted(list(e) for e in plan.active),
         "final_plan_edges": [
@@ -413,20 +431,7 @@ def run_sender(args: argparse.Namespace) -> Dict[str, object]:
         "transport": {
             "messages_sent": transport.messages_sent,
             "bytes_sent": transport.bytes_sent,
-            "connections": peer.connections,
-            "reconnects": peer.reconnects,
-            "dropped_frames": peer.dropped_frames,
-            "frames_sent": peer.frames_sent,
-            "frame_bytes_sent": peer.frame_bytes_sent,
-            "heartbeats_sent": peer.heartbeats_sent,
-            "heartbeats_echoed": peer.heartbeats_seen,
-            "send_timeouts": peer.send_timeouts,
-            "last_rtt": peer.last_rtt,
-            "batching_negotiated": peer._batch_ok,
-            "telemetry_negotiated": peer.telemetry_negotiated,
-            "telemetry_frames_seen": peer.telemetry_frames_seen,
-            "batches_sent": peer.batches_sent,
-            "batched_frames_sent": peer.batched_frames_sent,
+            **sub.transport_dict(),
         },
         "obs": obs.to_dict(),
     }
@@ -437,59 +442,27 @@ def run_sender(args: argparse.Namespace) -> Dict[str, object]:
 
 def run_broker(args: argparse.Namespace) -> Dict[str, object]:
     """One modulator fanning out to every ``--ports`` receiver."""
-    obs = _observability(
-        "broker", SENDER_ID_BASE, args.out, **_obs_args(args)
-    )
-    partitioned, _sink = build_partitioned_process(
-        n_stages=args.n_stages, backend=args.backend
-    )
-    plan = receiver_heavy_plan(partitioned.cut)
-    rate = _calibrate(partitioned, _sink, args.samples)
-    codec = NetEnvelopeCodec(partitioned.serializer_registry)
-    transport = TcpTransport(
-        codec,
-        name="broker",
-        heartbeat_interval=args.heartbeat,
-        connect_timeout=args.timeout,
-        send_timeout=5.0,
+    obs, partitioned, transport, options = _publisher_setup(
+        args,
+        "broker",
         # Snappy reconnect: a wedged receiver coming back should not
         # wait out a long backoff before its backlog drains.
         backoff_base=0.05,
         backoff_cap=0.5,
         queue_limit=args.queue_limit,
-        batching=not args.no_batching,
-        flush_max_bytes=args.flush_max_bytes,
-        flush_max_count=args.flush_max_count,
-        flush_interval=args.flush_interval,
     )
-    transport.attach_observability(obs, name="transport.tcp")
-    transport.start()
+    plan = options["plan"]
     endpoint = NetBrokerEndpoint(
         partitioned,
         transport,
-        plan=plan,
-        feedback_period=args.feedback_period,
-        rate_override=rate,
-        recalibrate=lambda: _calibrate(partitioned, _sink, args.samples),
         queue_limit=args.queue_limit,
-        obs=obs,
         health_interval=args.health_interval,
-        health_config=_health_config(args),
+        **options,
     )
     ports = [int(p) for p in args.ports.split(",") if p.strip()]
     for i, port in enumerate(ports):
         endpoint.subscribe(args.host, port, name=f"receiver{i}")
-    if args.expose is not None:
-        exposer = endpoint.expose_metrics(args.host, args.expose)
-        print(f"EXPOSING {exposer.port}", flush=True)
-    started = time.time()
-    for i in range(args.messages):
-        endpoint.publish(make_reading(i, args.samples))
-        if args.interval > 0:
-            time.sleep(args.interval)
-    endpoint.finish()
-    drained = transport.drain(args.timeout)
-    _finish_profile(obs)
+    started, drained = _stream(args, endpoint, transport, obs)
     # Snapshot the fleet the instant the drain completes — the Bye
     # frames just delivered are about to tear every connection down,
     # and a "disconnected" wobble at exit would mask the states the

@@ -93,7 +93,8 @@ def _scenario_plan_storm(
     """Duplicated / reordered / mid-retraction PLAN frames, scripted.
 
     No sockets: PLAN frames are fed straight into the sender's inbound
-    path, which is exactly where wire frames land — so every ordering
+    path, which is exactly where wire frames land, and the scripted
+    breaker replaces its one subscriber's — so every ordering
     (duplicate, stale, deferred, superseded) is exercised
     deterministically instead of hoping the network misbehaves.
     """
@@ -131,13 +132,14 @@ def _scenario_plan_storm(
             rate_override=1e-7,
             obs=obs,
         )
+        sub = sender.subscriber
         # A scripted clock makes the probe schedule deterministic: the
         # breaker stays firmly open through the absorb phase (no wall
         # time passes) and is walked to half-open by advancing the
         # clock past the backoff by hand.
         fake_now = [0.0]
-        sender.breaker = CircuitBreaker(
-            peer.name,
+        sub.breaker = CircuitBreaker(
+            sub.name,
             BreakerConfig(success_threshold=1),
             clock=lambda: fake_now[0],
             on_transition=sender._on_breaker_transition,
@@ -156,21 +158,21 @@ def _scenario_plan_storm(
         _check(
             checks,
             "duplicate and stale plans ignored",
-            sender.plan_updates_applied == 1
-            and sender.plan_duplicates_ignored == 2,
-            f"applied {sender.plan_updates_applied}, "
-            f"ignored {sender.plan_duplicates_ignored}",
+            sub.plan_updates_applied == 1
+            and sub.plan_duplicates_ignored == 2,
+            f"applied {sub.plan_updates_applied}, "
+            f"ignored {sub.plan_duplicates_ignored}",
         )
 
         # Scripted trip: retraction swaps to the sender-heavy plan and
         # every publish completes locally (the absorb path).
         with sender.lock:
-            sender.breaker.trip("chaos: scripted trip")
+            sub.breaker.trip("chaos: scripted trip")
         _check(
             checks,
             "trip retracts the split",
-            sender.retracted and sender.retractions == 1,
-            f"retracted={sender.retracted} after trip",
+            sub.retracted and sub.retractions == 1,
+            f"retracted={sub.retracted} after trip",
         )
         for i in range(10):
             sender.publish(make_reading(i, 16))
@@ -193,45 +195,45 @@ def _scenario_plan_storm(
         _check(
             checks,
             "plans deferred while retracted, newest wins",
-            sender.plans_deferred == 3
-            and sender.pending_plan is not None
-            and sender.pending_plan.version == 4,
-            f"deferred {sender.plans_deferred}, pending version "
-            f"{sender.pending_plan.version if sender.pending_plan else None}",
+            sub.plans_deferred == 3
+            and sub.pending_plan is not None
+            and sub.pending_plan.version == 4,
+            f"deferred {sub.plans_deferred}, pending version "
+            f"{sub.pending_plan.version if sub.pending_plan else None}",
         )
 
         # Walk the breaker closed by hand (probe + success) and confirm
         # the re-split applied the deferred version, not the saved one.
         fake_now[0] += 60.0
         with sender.lock:
-            assert sender.breaker.allow()
-            sender.breaker.record_success()
+            assert sub.breaker.allow()
+            sub.breaker.record_success()
         _check(
             checks,
             "re-split applies the deferred plan",
-            not sender.retracted
-            and sender.plan_version_applied == 4
-            and sender.resplits == 1,
-            f"version {sender.plan_version_applied}, "
-            f"resplits {sender.resplits}",
+            not sub.retracted
+            and sub.plan_version_applied == 4
+            and sub.resplits == 1,
+            f"version {sub.plan_version_applied}, "
+            f"resplits {sub.resplits}",
         )
         _check(
             checks,
             "breaker walked open -> half-open -> closed",
             _transition_path(
-                sender.breaker.to_dict(), "open", "half_open", "closed"
+                sub.breaker.to_dict(), "open", "half_open", "closed"
             ),
             str(
                 [
                     t["to"]
-                    for t in sender.breaker.to_dict()["transitions"]
+                    for t in sub.breaker.to_dict()["transitions"]
                 ]
             ),
         )
         summary = {
-            "resilience": sender.resilience_dump(),
-            "plan_updates_applied": sender.plan_updates_applied,
-            "plan_duplicates_ignored": sender.plan_duplicates_ignored,
+            "resilience": sub.resilience_dict(),
+            "plan_updates_applied": sub.plan_updates_applied,
+            "plan_duplicates_ignored": sub.plan_duplicates_ignored,
             "published": sender.published,
         }
     finally:

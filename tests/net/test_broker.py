@@ -23,6 +23,7 @@ from repro.net.broker import NetBrokerEndpoint, PlanRuntimeCache
 from repro.net.endpoint import NetReceiverEndpoint
 from repro.net.framing import NetEnvelopeCodec
 from repro.net.live import _calibrate
+from repro.net.resilience import BREAKER_CLOSED, BREAKER_OPEN
 from repro.net.tcp import TcpTransport
 
 SAMPLES = 64
@@ -349,3 +350,117 @@ def test_union_dirty_plan_apply_reshapes_shared_split():
     finally:
         transport.close()
         harness.stop()
+
+
+def _unlistened_broker(**kwargs):
+    """A broker whose subscribers ``a`` and ``b`` nobody listens to;
+    the health machine is slowed so disconnection never trips them."""
+    from repro.obs.health import HealthConfig
+
+    partitioned, sink = build_partitioned_process(n_stages=8)
+    transport = TcpTransport(
+        NetEnvelopeCodec(partitioned.serializer_registry),
+        backoff_base=0.05,
+        backoff_cap=0.2,
+    ).start()
+    broker = NetBrokerEndpoint(
+        partitioned,
+        transport,
+        plan=receiver_heavy_plan(partitioned.cut),
+        rate_override=1e-7,
+        # pinned: a built-in recalibration would run the handler into
+        # the local sink
+        recalibrate=lambda: 1e-7,
+        health_config=HealthConfig(stale_degraded=60.0, stale_wedged=120.0),
+        **kwargs,
+    )
+    sub_a = broker.subscribe("127.0.0.1", _free_port(), name="a")
+    sub_b = broker.subscribe("127.0.0.1", _free_port(), name="b")
+    return broker, transport, sink, sub_a, sub_b
+
+
+def test_failed_send_absorbs_locally_and_the_fanout_continues():
+    """A send failure toward one peer must not end the publish: the
+    failing peer's continuation completes locally and feeds its breaker,
+    and every later subscriber still gets the message."""
+    from repro.errors import ConnectionLostError
+    from repro.jecho.events import ContinuationEnvelope
+
+    broker, transport, sink, sub_a, sub_b = _unlistened_broker()
+    real_send = transport.send
+
+    def send(destination, envelope, size):
+        if destination is sub_a.peer and isinstance(
+            envelope, ContinuationEnvelope
+        ):
+            raise ConnectionLostError("injected send failure")
+        return real_send(destination, envelope, size)
+
+    transport.send = send
+    try:
+        for i in range(6):
+            broker.publish(make_reading(i, 16))
+        assert broker.published == 6
+        assert sub_b.shipped == 6
+        assert sub_a.shipped == 0
+        assert sub_a.absorbed == 6
+        assert sub_a.completed_locally == 6
+        for sub in (sub_a, sub_b):
+            assert (
+                sub.shipped + sub.completed_locally + sub.elided
+                == broker.published
+            ), sub.name
+        # the absorbed continuations really ran their receiver tails here
+        assert len(sink.results) == sub_a.completed_locally
+        # three send failures tripped a's breaker; b's stayed closed
+        assert sub_a.breaker.state == BREAKER_OPEN
+        reasons = [t["reason"] for t in sub_a.breaker.to_dict()["transitions"]]
+        assert any("send failed" in r for r in reasons), reasons
+        assert sub_a.retracted
+        assert sub_b.breaker.state == BREAKER_CLOSED
+        assert not sub_b.retracted
+    finally:
+        transport.close()
+
+
+def test_subscriber_proxies_and_feedback_frames_carry_obs():
+    """Every subscriber's profiling proxy reports into the broker's obs,
+    and each FEEDBACK frame carries a feedback.flush span context."""
+    from repro.jecho.events import FeedbackEnvelope
+    from repro.obs import Observability
+
+    obs = Observability()
+    obs.enable_tracing()
+    broker, transport, _sink, sub_a, sub_b = _unlistened_broker(
+        obs=obs, feedback_period=2
+    )
+    feedback = []
+    real_send = transport.send
+
+    def send(destination, envelope, size):
+        if isinstance(envelope, FeedbackEnvelope):
+            feedback.append((destination, envelope))
+        return real_send(destination, envelope, size)
+
+    transport.send = send
+    try:
+        for i in range(2):
+            broker.publish(make_reading(i, 16))
+        for sub in (sub_a, sub_b):
+            assert sub.proxy.obs is obs
+            assert sub.feedback_flushes == 1
+        assert obs.metrics.counter("feedback.flushes").value == 2
+        assert obs.trace.count("FeedbackSent") == 2
+        flushes = {
+            span.span_id: span
+            for span in obs.tracing.spans
+            if span.name == "feedback.flush"
+        }
+        assert len(flushes) == 2
+        assert [d for d, _ in feedback] == [sub_a.peer, sub_b.peer]
+        for _, envelope in feedback:
+            assert envelope.trace is not None
+            trace_id, span_id = envelope.trace
+            assert flushes[span_id].trace_id == trace_id
+    finally:
+        transport.close()

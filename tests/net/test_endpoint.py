@@ -206,3 +206,35 @@ def test_identical_recomputes_ship_plan_once():
     finally:
         transport.close()
         harness.stop()
+
+
+def test_receiver_stop_survives_a_swallowed_cancel():
+    """asyncio.wait_for inside a connection send can swallow the
+    cancellation stop() delivers (Python 3.11).  The stop flag still
+    ends the telemetry loop, so stop() returns promptly."""
+    partitioned, _sink = build_partitioned_process(n_stages=4)
+    receiver = NetReceiverEndpoint(partitioned, telemetry_interval=0.005)
+    calls = []
+
+    async def scenario():
+        entered = asyncio.Event()
+
+        async def push():
+            calls.append(1)
+            if len(calls) == 1:
+                entered.set()
+                try:
+                    await asyncio.sleep(10.0)
+                except asyncio.CancelledError:
+                    pass  # swallowed, as a racing wait_for can
+            return 0
+
+        receiver.push_telemetry = push
+        await receiver.start()
+        await asyncio.wait_for(entered.wait(), 5.0)
+        started = time.monotonic()
+        await asyncio.wait_for(receiver.stop(), 2.0)
+        return time.monotonic() - started
+
+    assert asyncio.run(scenario()) < 1.0
+    assert len(calls) == 1

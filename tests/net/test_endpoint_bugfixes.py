@@ -1,4 +1,4 @@
-"""Regression tests for the net/endpoint bugfix sweep.
+"""Regression tests for the net endpoint bugfix sweep.
 
 Each test pins one fixed defect:
 
@@ -25,10 +25,12 @@ from repro.core.plan import receiver_heavy_plan, sender_heavy_plan
 from repro.core.runtime.triggers import RateTrigger
 from repro.errors import TransportError
 from repro.jecho.events import PlanEnvelope
+from repro.net.broker import NetBrokerEndpoint
 from repro.net.endpoint import NetReceiverEndpoint, NetSenderEndpoint
 from repro.net.framing import NetEnvelopeCodec
 from repro.net.live import _calibrate
 from repro.net.tcp import TcpTransport
+from repro.obs.health import HealthConfig
 
 SAMPLES = 64
 
@@ -101,34 +103,82 @@ def _sender(harness, **kwargs):
     return sender, transport
 
 
+def _broker2(harness, **kwargs):
+    """A broker whose subscriber ``a`` is the harness's receiver and
+    whose bystander ``b`` is a peer nobody listens on."""
+    partitioned, sink = build_partitioned_process(
+        n_stages=20, backend="compiled"
+    )
+    rate = _calibrate(partitioned, sink, SAMPLES)
+    transport = TcpTransport(
+        NetEnvelopeCodec(partitioned.serializer_registry),
+        backoff_base=0.01,
+        backoff_cap=0.1,
+    ).start()
+    # Slow health machine: the unlistened bystander must not trip its
+    # breaker while the test runs.
+    broker = NetBrokerEndpoint(
+        partitioned,
+        transport,
+        plan=receiver_heavy_plan(partitioned.cut),
+        rate_override=rate,
+        health_config=HealthConfig(stale_degraded=60.0, stale_wedged=120.0),
+        **kwargs,
+    )
+    broker.subscribe(harness.host, harness.port, name="a")
+    broker.subscribe("127.0.0.1", 1, name="b")
+    return broker, transport
+
+
+def _publishers(harness, **kwargs):
+    """The publisher under test, in both shapes: the two-process sender
+    (a broker with one subscriber) and a two-subscriber broker.  Each
+    entry is ``(name, endpoint, subscriber under test, transport)``."""
+    sender, sender_transport = _sender(harness, **kwargs)
+    broker, broker_transport = _broker2(harness, **kwargs)
+    return [
+        ("sender", sender, sender.subscriber, sender_transport),
+        ("broker2", broker, broker.subscribers[0], broker_transport),
+    ]
+
+
+def _close(cases, harness):
+    for _, _, _, transport in cases:
+        transport.close()
+    harness.stop()
+
+
 # -- satellite 1: rate recalibration after plan transitions ---------------------
+#
+# The calibrated rate belongs to the publisher's host, so it is shared
+# by every subscriber: a plan applied for any one of them marks it stale.
 
 
 def test_plan_apply_marks_rate_stale_and_next_publish_recalibrates():
     harness = ReceiverHarness(trigger=IDLE)
-    sender, transport = _sender(harness, recalibrate=lambda: 1.25e-6)
+    cases = _publishers(harness, recalibrate=lambda: 1.25e-6)
     try:
-        old_rate = sender.rate_override
-        plan = sender_heavy_plan(sender.partitioned.cut)
-        sender._on_inbound(
-            PlanEnvelope(subscription_id=1, plan=plan, version=1),
-            sender.peer,
-        )
-        # the apply itself only marks: no recalibration until an event
-        # arrives to calibrate against
-        assert sender._rate_stale
-        assert sender.rate_override == old_rate
-        assert sender.recalibrations == 0
-        sender.publish(make_reading(0, SAMPLES))
-        assert sender.rate_override == 1.25e-6
-        assert sender.recalibrations == 1
-        assert not sender._rate_stale
-        # a second publish under the same plan does not thrash
-        sender.publish(make_reading(1, SAMPLES))
-        assert sender.recalibrations == 1
+        for name, sender, sub, _ in cases:
+            old_rate = sender.rate_override
+            plan = sender_heavy_plan(sender.partitioned.cut)
+            sender._on_inbound(
+                PlanEnvelope(subscription_id=1, plan=plan, version=1),
+                sub.peer,
+            )
+            # the apply itself only marks: no recalibration until an
+            # event arrives to calibrate against
+            assert sender._rate_stale, name
+            assert sender.rate_override == old_rate
+            assert sender.recalibrations == 0
+            sender.publish(make_reading(0, SAMPLES))
+            assert sender.rate_override == 1.25e-6
+            assert sender.recalibrations == 1
+            assert not sender._rate_stale
+            # a second publish under the same plan does not thrash
+            sender.publish(make_reading(1, SAMPLES))
+            assert sender.recalibrations == 1
     finally:
-        transport.close()
-        harness.stop()
+        _close(cases, harness)
 
 
 def test_recalibration_within_noise_keeps_the_current_rate():
@@ -136,106 +186,119 @@ def test_recalibration_within_noise_keeps_the_current_rate():
     is timer noise, not staleness: adopting it would rescale all
     subsequently profiled sender costs and flap knife-edge min-cuts."""
     harness = ReceiverHarness(trigger=IDLE)
-    sender, transport = _sender(harness)
+    cases = _publishers(harness)
     try:
-        old_rate = sender.rate_override
-        sender.recalibrate = lambda: old_rate * 1.05  # within the band
-        plan = sender_heavy_plan(sender.partitioned.cut)
-        sender._on_inbound(
-            PlanEnvelope(subscription_id=1, plan=plan, version=1),
-            sender.peer,
-        )
-        sender.publish(make_reading(0, SAMPLES))
-        assert sender.recalibrations == 1  # measured...
-        assert sender.rate_override == old_rate  # ...but not adopted
+        for name, sender, sub, _ in cases:
+            old_rate = sender.rate_override
+            sender.recalibrate = lambda: old_rate * 1.05  # within the band
+            plan = sender_heavy_plan(sender.partitioned.cut)
+            sender._on_inbound(
+                PlanEnvelope(subscription_id=1, plan=plan, version=1),
+                sub.peer,
+            )
+            sender.publish(make_reading(0, SAMPLES))
+            assert sender.recalibrations == 1, name  # measured...
+            assert sender.rate_override == old_rate  # ...but not adopted
     finally:
-        transport.close()
-        harness.stop()
+        _close(cases, harness)
 
 
 def test_builtin_recalibration_times_the_full_handler():
     harness = ReceiverHarness(trigger=IDLE)
-    sender, transport = _sender(harness)  # no recalibrate callable
+    cases = _publishers(harness)  # no recalibrate callable
     try:
-        plan = sender_heavy_plan(sender.partitioned.cut)
-        sender._on_inbound(
-            PlanEnvelope(subscription_id=1, plan=plan, version=1),
-            sender.peer,
-        )
-        sender.publish(make_reading(0, SAMPLES))
-        assert sender.recalibrations == 1
-        # a plausible host rate, not a per-message-overhead artifact:
-        # the sensor handler runs thousands of cycles in well under a
-        # second, so seconds-per-cycle lands far below 1e-3
-        assert 0.0 < sender.rate_override < 1e-3
+        for name, sender, sub, _ in cases:
+            plan = sender_heavy_plan(sender.partitioned.cut)
+            sender._on_inbound(
+                PlanEnvelope(subscription_id=1, plan=plan, version=1),
+                sub.peer,
+            )
+            sender.publish(make_reading(0, SAMPLES))
+            assert sender.recalibrations == 1, name
+            # a plausible host rate, not a per-message-overhead
+            # artifact: the sensor handler runs thousands of cycles in
+            # well under a second, so seconds-per-cycle lands far
+            # below 1e-3
+            assert 0.0 < sender.rate_override < 1e-3
     finally:
-        transport.close()
-        harness.stop()
+        _close(cases, harness)
 
 
 def test_no_override_means_no_recalibration():
     harness = ReceiverHarness(trigger=IDLE)
-    sender, transport = _sender(harness)
+    cases = _publishers(harness)
     try:
-        sender.rate_override = None
-        plan = sender_heavy_plan(sender.partitioned.cut)
-        sender._on_inbound(
-            PlanEnvelope(subscription_id=1, plan=plan, version=1),
-            sender.peer,
-        )
-        assert not sender._rate_stale  # raw wall clock needs no refresh
-        sender.publish(make_reading(0, SAMPLES))
-        assert sender.recalibrations == 0
+        for name, sender, sub, _ in cases:
+            sender.rate_override = None
+            plan = sender_heavy_plan(sender.partitioned.cut)
+            sender._on_inbound(
+                PlanEnvelope(subscription_id=1, plan=plan, version=1),
+                sub.peer,
+            )
+            assert not sender._rate_stale, name  # raw wall clock needs no refresh
+            sender.publish(make_reading(0, SAMPLES))
+            assert sender.recalibrations == 0
     finally:
-        transport.close()
-        harness.stop()
+        _close(cases, harness)
 
 
 # -- satellite 3: idempotent PLAN apply under duplicated frames -----------------
+#
+# Plan versions are per subscriber: a peer's duplicates never touch the
+# other peer's plan.
 
 
 def test_duplicated_plan_frame_is_applied_once():
     harness = ReceiverHarness(trigger=IDLE)
-    sender, transport = _sender(harness)
+    cases = _publishers(harness)
     try:
-        plan = sender_heavy_plan(sender.partitioned.cut)
-        envelope = PlanEnvelope(subscription_id=1, plan=plan, version=1)
-        sender._on_inbound(envelope, sender.peer)
-        switches = sender.modulator.plan_runtime.switch_count
-        # the at-least-once retransmit redelivers the same frame
-        sender._on_inbound(envelope, sender.peer)
-        assert sender.plan_updates_applied == 1
-        assert sender.plan_duplicates_ignored == 1
-        assert sender.modulator.plan_runtime.switch_count == switches
-        # a stale lower version arriving late is also a duplicate
-        sender._on_inbound(
-            PlanEnvelope(
-                subscription_id=1,
-                plan=receiver_heavy_plan(sender.partitioned.cut),
-                version=1,
-            ),
-            sender.peer,
-        )
-        assert sender.plan_duplicates_ignored == 2
-        assert sender.current_plan_edges == tuple(sorted(plan.active))
+        for name, sender, sub, _ in cases:
+            plan = sender_heavy_plan(sender.partitioned.cut)
+            envelope = PlanEnvelope(subscription_id=1, plan=plan, version=1)
+            sender._on_inbound(envelope, sub.peer)
+            # rebuild the union hook so a re-run apply would show
+            sender.publish(make_reading(0, SAMPLES))
+            seen = list(sub.plans_seen)
+            # the at-least-once retransmit redelivers the same frame
+            sender._on_inbound(envelope, sub.peer)
+            assert sub.plan_updates_applied == 1, name
+            assert sub.plan_duplicates_ignored == 1
+            # the apply path did not re-run
+            assert sub.plans_seen == seen
+            assert not sender._union_dirty
+            # a stale lower version arriving late is also a duplicate
+            sender._on_inbound(
+                PlanEnvelope(
+                    subscription_id=1,
+                    plan=receiver_heavy_plan(sender.partitioned.cut),
+                    version=1,
+                ),
+                sub.peer,
+            )
+            assert sub.plan_duplicates_ignored == 2
+            assert sub.plan_edges == tuple(sorted(plan.active))
+            for other in sender.subscribers:
+                if other is not sub:
+                    assert other.plan_updates_applied == 0
+                    assert other.plan_duplicates_ignored == 0
+        assert cases[0][1].current_plan_edges == tuple(sorted(plan.active))
     finally:
-        transport.close()
-        harness.stop()
+        _close(cases, harness)
 
 
 def test_legacy_unversioned_plan_frames_always_apply():
     harness = ReceiverHarness(trigger=IDLE)
-    sender, transport = _sender(harness)
+    cases = _publishers(harness)
     try:
-        plan = sender_heavy_plan(sender.partitioned.cut)
-        legacy = PlanEnvelope(subscription_id=1, plan=plan, version=0)
-        sender._on_inbound(legacy, sender.peer)
-        sender._on_inbound(legacy, sender.peer)
-        assert sender.plan_updates_applied == 2
-        assert sender.plan_duplicates_ignored == 0
+        for name, sender, sub, _ in cases:
+            plan = sender_heavy_plan(sender.partitioned.cut)
+            legacy = PlanEnvelope(subscription_id=1, plan=plan, version=0)
+            sender._on_inbound(legacy, sub.peer)
+            sender._on_inbound(legacy, sub.peer)
+            assert sub.plan_updates_applied == 2, name
+            assert sub.plan_duplicates_ignored == 0
     finally:
-        transport.close()
-        harness.stop()
+        _close(cases, harness)
 
 
 class _StubReconfig:

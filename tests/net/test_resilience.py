@@ -1,6 +1,8 @@
-"""Circuit breaker, bulkhead, and sender-side retraction semantics."""
+"""Circuit breaker, bulkhead, and publisher-side retraction semantics."""
 
 from __future__ import annotations
+
+import time
 
 import pytest
 
@@ -210,118 +212,252 @@ def test_bulkhead_rejects_invalid_limit():
         Bulkhead(limit=0)
 
 
-# -- sender endpoint: absorb, retract, defer, re-split --------------------------
+# -- publisher: absorb, retract, defer, re-split --------------------------------
+#
+# Retraction is per subscriber, so every test runs on both publisher
+# shapes: the two-process sender (a broker with one subscriber) and a
+# two-subscriber broker, where the tripped peer ``a`` must not disturb
+# its bystander ``b``.
+
+
+class Case:
+    """One publisher under test: the tripped subscriber and its bystander."""
+
+    def __init__(self, name, endpoint, sub, clock, bystander=None):
+        self.name = name
+        self.endpoint = endpoint
+        self.sub = sub
+        self.clock = clock
+        self.bystander = bystander
+
+    def conserved(self, sub) -> bool:
+        published = self.endpoint.published
+        return sub.shipped + sub.completed_locally + sub.elided == published
+
+
+def _scripted_breaker(endpoint, sub):
+    """Replace *sub*'s breaker with one on a scripted clock."""
+    clock = FakeClock()
+    sub.breaker = CircuitBreaker(
+        sub.name,
+        BreakerConfig(success_threshold=1),
+        clock=clock,
+        on_transition=endpoint._on_breaker_transition,
+    )
+    return clock
 
 
 @pytest.fixture
-def wired_sender():
+def cases():
     from repro.apps.sensor.pipeline import build_partitioned_process
     from repro.core.plan import receiver_heavy_plan
+    from repro.net.broker import NetBrokerEndpoint
     from repro.net.endpoint import NetSenderEndpoint
     from repro.net.framing import NetEnvelopeCodec
     from repro.net.tcp import TcpTransport
+    from repro.obs.health import HealthConfig
 
     partitioned, _sink = build_partitioned_process(n_stages=6)
-    transport = TcpTransport(
-        NetEnvelopeCodec(partitioned.serializer_registry),
-        backoff_base=0.05,
-        backoff_cap=0.2,
-    ).start()
-    peer = transport.peer("127.0.0.1", 1)  # nobody listens here
-    sender = NetSenderEndpoint(
-        partitioned,
-        transport,
-        peer,
-        plan=receiver_heavy_plan(partitioned.cut),
-        rate_override=1e-7,
-    )
-    clock = FakeClock()
-    sender.breaker = CircuitBreaker(
-        peer.name,
-        BreakerConfig(success_threshold=1),
-        clock=clock,
-        on_transition=sender._on_breaker_transition,
-    )
+    plan = receiver_heavy_plan(partitioned.cut)
+    transports = []
+
+    def transport():
+        t = TcpTransport(
+            NetEnvelopeCodec(partitioned.serializer_registry),
+            backoff_base=0.05,
+            backoff_cap=0.2,
+        ).start()
+        transports.append(t)
+        return t
+
+    out = []
     try:
-        yield partitioned, sender, peer, clock
+        t = transport()
+        peer = t.peer("127.0.0.1", 1)  # nobody listens here
+        sender = NetSenderEndpoint(
+            partitioned, t, peer, plan=plan, rate_override=1e-7
+        )
+        clock = _scripted_breaker(sender, sender.subscriber)
+        out.append(Case("sender", sender, sender.subscriber, clock))
+
+        # Nobody listens on either port; the health machine is slowed so
+        # the bystander's disconnection never trips its breaker mid-test.
+        broker = NetBrokerEndpoint(
+            partitioned,
+            transport(),
+            plan=plan,
+            rate_override=1e-7,
+            health_config=HealthConfig(stale_degraded=60.0, stale_wedged=120.0),
+        )
+        sub_a = broker.subscribe("127.0.0.1", 1, name="a")
+        sub_b = broker.subscribe("127.0.0.1", 2, name="b")
+        clock = _scripted_breaker(broker, sub_a)
+        out.append(Case("broker2", broker, sub_a, clock, bystander=sub_b))
+        yield out
     finally:
-        transport.close()
+        for t in transports:
+            t.close()
 
 
-def test_open_breaker_absorbs_publishes_locally(wired_sender):
+def test_open_breaker_absorbs_publishes_locally(cases):
     from repro.apps.sensor.data import make_reading
 
-    partitioned, sender, peer, clock = wired_sender
-    with sender.lock:
-        sender.breaker.trip("test")
-    assert sender.retracted
-    assert sender.retractions == 1
-    for i in range(5):
-        sender.publish(make_reading(i, 8))
-    assert sender.absorbed == 5
-    assert sender.shipped == 0
-    # conservation: nothing lost, everything completed somewhere
-    assert sender.published == sender.shipped + sender.completed_locally
+    for case in cases:
+        endpoint, sub = case.endpoint, case.sub
+        with endpoint.lock:
+            sub.breaker.trip("test")
+        assert sub.retracted, case.name
+        assert sub.retractions == 1
+        for i in range(5):
+            endpoint.publish(make_reading(i, 8))
+        assert sub.absorbed == 5
+        assert sub.shipped == 0
+        # conservation: nothing lost, everything completed somewhere
+        assert case.conserved(sub), case.name
+        if case.bystander is not None:
+            assert case.bystander.shipped == 5
+            assert case.bystander.absorbed == 0
+            assert not case.bystander.retracted
+            assert case.conserved(case.bystander)
+        else:
+            assert endpoint.absorbed == 5
+            assert endpoint.shipped == 0
+            assert endpoint.published == (
+                endpoint.shipped + endpoint.completed_locally
+            )
 
 
-def test_plans_deferred_while_retracted_newest_wins(wired_sender):
+def test_plans_deferred_while_retracted_newest_wins(cases):
     from repro.core.plan import receiver_heavy_plan, sender_heavy_plan
     from repro.jecho.events import PlanEnvelope
 
-    partitioned, sender, peer, clock = wired_sender
-    plan_recv = receiver_heavy_plan(partitioned.cut)
-    plan_none = sender_heavy_plan(partitioned.cut)
-    with sender.lock:
-        sender.breaker.trip("test")
-    sender._on_inbound(
-        PlanEnvelope(subscription_id=1, plan=plan_recv, version=3), peer
-    )
-    sender._on_inbound(
-        PlanEnvelope(subscription_id=1, plan=plan_none, version=5), peer
-    )
-    sender._on_inbound(
-        PlanEnvelope(subscription_id=1, plan=plan_recv, version=4), peer
-    )
-    assert sender.plans_deferred == 3
-    assert sender.pending_plan is not None
-    assert sender.pending_plan.version == 5
-    assert sender.plan_updates_applied == 0
+    for case in cases:
+        endpoint, sub = case.endpoint, case.sub
+        plan_recv = receiver_heavy_plan(endpoint.partitioned.cut)
+        plan_none = sender_heavy_plan(endpoint.partitioned.cut)
+        with endpoint.lock:
+            sub.breaker.trip("test")
+        for version, plan in ((3, plan_recv), (5, plan_none), (4, plan_recv)):
+            endpoint._on_inbound(
+                PlanEnvelope(subscription_id=1, plan=plan, version=version),
+                sub.peer,
+            )
+        assert sub.plans_deferred == 3, case.name
+        assert sub.pending_plan is not None
+        assert sub.pending_plan.version == 5
+        assert sub.plan_updates_applied == 0
+        if case.bystander is not None:
+            # the bystander's PLAN frames still apply immediately
+            endpoint._on_inbound(
+                PlanEnvelope(subscription_id=2, plan=plan_none, version=1),
+                case.bystander.peer,
+            )
+            assert case.bystander.plan is plan_none
+            assert case.bystander.plans_deferred == 0
 
-    # closing the breaker re-splits onto the deferred (newest) plan
-    clock.advance(60.0)
-    with sender.lock:
-        assert sender.breaker.allow()
-        sender.breaker.record_success()
-    assert not sender.retracted
-    assert sender.resplits == 1
-    assert sender.plan_version_applied == 5
-    assert sender.pending_plan is None
-
-
-def test_resplit_restores_saved_plan_when_nothing_deferred(wired_sender):
-    partitioned, sender, peer, clock = wired_sender
-    before = sender.modulator.plan_runtime.current_plan.active
-    with sender.lock:
-        sender.breaker.trip("test")
-    assert sender.modulator.plan_runtime.current_plan.active != before  # sender-heavy now
-    clock.advance(60.0)
-    with sender.lock:
-        assert sender.breaker.allow()
-        sender.breaker.record_success()
-    assert sender.modulator.plan_runtime.current_plan.active == before
-    assert not sender.retracted
+        # closing the breaker re-splits onto the deferred (newest) plan
+        case.clock.advance(60.0)
+        with endpoint.lock:
+            assert sub.breaker.allow()
+            sub.breaker.record_success()
+        assert not sub.retracted
+        assert sub.resplits == 1
+        assert sub.plan_version_applied == 5
+        assert sub.pending_plan is None
+        assert sub.plan is plan_none
+        assert sub.plan_updates_applied == 1
 
 
-def test_resilience_dump_shape(wired_sender):
-    partitioned, sender, peer, clock = wired_sender
-    dump = sender.resilience_dump()
-    assert dump["breaker"]["state"] == BREAKER_CLOSED
-    assert dump["retracted"] is False
-    assert set(dump) >= {
-        "breaker",
-        "absorbed",
-        "retracted",
-        "retractions",
-        "resplits",
-        "plans_deferred",
-    }
+def test_deferred_unversioned_plan_wins_over_saved_plan(cases):
+    """A legacy (version 0) PLAN frame deferred during retraction is
+    still newer than the pre-trip plan: it is applied on re-split, and
+    among equal versions the later arrival wins."""
+    from repro.core.plan import receiver_heavy_plan, sender_heavy_plan
+    from repro.jecho.events import PlanEnvelope
+
+    for case in cases:
+        endpoint, sub = case.endpoint, case.sub
+        plan_recv = receiver_heavy_plan(endpoint.partitioned.cut)
+        plan_none = sender_heavy_plan(endpoint.partitioned.cut)
+        assert sub.plan.active == plan_recv.active
+        with endpoint.lock:
+            sub.breaker.trip("test")
+        for plan in (plan_recv, plan_none):
+            endpoint._on_inbound(
+                PlanEnvelope(subscription_id=1, plan=plan, version=0),
+                sub.peer,
+            )
+        assert sub.pending_plan.plan is plan_none, case.name
+        case.clock.advance(60.0)
+        with endpoint.lock:
+            assert sub.breaker.allow()
+            sub.breaker.record_success()
+        assert sub.plan is plan_none
+        assert sub.plan_version_applied == 0
+
+
+def test_retraction_waits_for_the_queue_to_drain(cases):
+    """The plan swap waits for the peer's queued frames (bounded by
+    drain_timeout); the open breaker absorbs publishes meanwhile."""
+    from repro.apps.sensor.data import make_reading
+
+    for case in cases:
+        endpoint, sub = case.endpoint, case.sub
+        endpoint.publish(make_reading(0, 8))  # queued: nobody listens
+        assert sub.shipped == 1, case.name
+        # the enqueue lands on the transport's loop thread
+        deadline = time.monotonic() + 5.0
+        while sub.peer.queued == 0 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert sub.peer.queued >= 1
+        before = sub.plan
+        with endpoint.lock:
+            sub.breaker.trip("test")
+        assert sub.retracting and not sub.retracted
+        assert sub.plan is before
+        endpoint.publish(make_reading(1, 8))
+        assert sub.absorbed == 1
+        assert case.conserved(sub)
+        with endpoint.lock:
+            endpoint._maybe_complete_retraction(sub, float("inf"))
+        assert sub.retracted and not sub.retracting
+        assert sub.plan.active == frozenset()  # sender-heavy
+        assert sub.saved_plan is before
+
+
+def test_resplit_restores_saved_plan_when_nothing_deferred(cases):
+    for case in cases:
+        endpoint, sub = case.endpoint, case.sub
+        before = sub.plan.active
+        with endpoint.lock:
+            sub.breaker.trip("test")
+        assert sub.plan.active != before, case.name  # sender-heavy now
+        if case.bystander is not None:
+            assert case.bystander.plan.active == before
+        case.clock.advance(60.0)
+        with endpoint.lock:
+            assert sub.breaker.allow()
+            sub.breaker.record_success()
+        assert sub.plan.active == before
+        assert not sub.retracted
+        if case.bystander is None:
+            assert endpoint.current_plan_edges == tuple(sorted(before))
+
+
+def test_resilience_dump_shape(cases):
+    for case in cases:
+        endpoint, sub = case.endpoint, case.sub
+        dump = sub.resilience_dict()
+        assert dump["breaker"]["state"] == BREAKER_CLOSED, case.name
+        assert dump["retracted"] is False
+        assert set(dump) >= {
+            "breaker",
+            "absorbed",
+            "retracted",
+            "retractions",
+            "resplits",
+            "plans_deferred",
+        }
+        peers = endpoint.resilience_dump()["peers"]
+        assert peers[sub.name] == dump
+        assert len(peers) == (1 if case.bystander is None else 2)
