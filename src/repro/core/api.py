@@ -57,10 +57,8 @@ class MethodPartitioner:
 
     ``backend`` selects the execution backend for every modulator /
     demodulator produced from this partitioner: ``"compiled"`` (default,
-    closure-compiled hot path), ``"codegen"`` (Python source generation,
-    fastest; falls back to the closure backend per function when a handler
-    uses features it cannot lower) or ``"tree"`` (the reference
-    tree-walking evaluator).
+    closure-compiled hot path) or ``"tree"`` (the reference tree-walking
+    evaluator).
     """
 
     def __init__(

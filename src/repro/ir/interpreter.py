@@ -209,18 +209,12 @@ class SplitHook:
 class Interpreter:
     """Executes IR functions against a function registry.
 
-    Three execution backends share this front end:
+    Two execution backends share this front end:
 
     * ``"compiled"`` (default) — each function is lowered once into
       per-instruction closures (:mod:`repro.ir.compiler`) and the loop runs
       those; split checks are O(1) set membership when the hook provides
       its edge set.
-    * ``"codegen"`` — each function is lowered once to generated Python
-      source compiled with ``compile()``/``exec``
-      (:mod:`repro.ir.codegen`); registers become real locals and split
-      checks are inlined per active plan.  Executions the generated code
-      cannot reproduce exactly fall back to the closure backend with a
-      counted warning.
     * ``"tree"`` — the original tree-walking evaluator; kept as the
       reference semantics for the differential equivalence suite.
     """
@@ -233,15 +227,15 @@ class Interpreter:
         obs=None,
         backend: str = "compiled",
     ) -> None:
-        if backend not in ("compiled", "tree", "codegen"):
+        if backend not in ("compiled", "tree"):
             raise ValueError(
                 f"unknown interpreter backend {backend!r}; "
-                f"expected 'codegen', 'compiled' or 'tree'"
+                f"expected 'compiled' or 'tree'"
             )
         self.registry = registry
         self.max_steps = max_steps
         self.backend = backend
-        self._compile = None  # lazy import of repro.ir.compiler / codegen
+        self._compile = None  # lazy import of repro.ir.compiler
         self.obs = None
         self._c_instructions = None
         self._c_executions = None
@@ -360,10 +354,7 @@ class Interpreter:
         if self.backend != "tree":
             compile_function = self._compile
             if compile_function is None:
-                if self.backend == "codegen":
-                    from repro.ir.codegen import codegen_function as compile_function
-                else:
-                    from repro.ir.compiler import compile_function
+                from repro.ir.compiler import compile_function
 
                 self._compile = compile_function
             outcome, steps = compile_function(fn, self.registry).execute(

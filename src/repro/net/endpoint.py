@@ -282,9 +282,6 @@ class NetReceiverEndpoint:
         }
         if self.election is not None:
             payload["election"] = self.election.to_dict()
-        from repro.ir import codegen
-
-        payload["codegen_fallbacks"] = dict(codegen.fallback_counts)
         if self.obs is not None:
             from repro.obs.metrics import snapshot_delta
 

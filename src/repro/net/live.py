@@ -174,9 +174,7 @@ def run_receiver(args: argparse.Namespace) -> Dict[str, object]:
     if args.quality:
         # Small window so regret windows close within a short stream.
         obs.enable_quality(regret_window=16)
-    partitioned, sink = build_partitioned_process(
-        n_stages=args.n_stages, backend=args.backend
-    )
+    partitioned, sink = build_partitioned_process(n_stages=args.n_stages)
     plan = receiver_heavy_plan(partitioned.cut)
     rate = _calibrate(partitioned, sink, args.samples)
     endpoint = NetReceiverEndpoint(
@@ -352,9 +350,7 @@ def _publisher_setup(args: argparse.Namespace, role: str, **transport_options):
     options (initial plan, calibrated host rate and its refresher).
     """
     obs = _observability(role, SENDER_ID_BASE, args.out, **_obs_args(args))
-    partitioned, sink = build_partitioned_process(
-        n_stages=args.n_stages, backend=args.backend
-    )
+    partitioned, sink = build_partitioned_process(n_stages=args.n_stages)
     options = dict(
         plan=receiver_heavy_plan(partitioned.cut),
         feedback_period=args.feedback_period,
@@ -501,8 +497,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--samples", type=int, default=64,
                         help="samples per sensor reading")
     parser.add_argument("--n-stages", type=int, default=20)
-    parser.add_argument("--backend", default="compiled",
-                        choices=("tree", "compiled", "codegen"))
     parser.add_argument("--timeout", type=float, default=60.0,
                         help="overall per-process deadline (seconds)")
     parser.add_argument("--out", default=None,

@@ -12,12 +12,10 @@ wedge, or SIGTERM so the last few thousand events survive a crash.
 recorder's ``host`` tag) alongside the tracer dumps, so a fleet run
 leaves one joined record of *what happened where*.
 
-The module also hosts the :func:`wide_event` helper that replaces
-scattered one-shot ``warnings.warn`` / ``print`` call sites: it records
-into the process-global recorder (when one is installed) and optionally
-emits a deduplicated ``RuntimeWarning`` — at most once per
-``(kind, dedupe)`` key, preserving the one-warning-per-(function,
-reason) behaviour the codegen backend relied on.
+The module also hosts the :func:`wide_event` helper: call sites with
+no recorder of their own (the live roles' fault and timeout paths)
+record into the process-global recorder when one is installed, and do
+nothing otherwise.
 """
 
 from __future__ import annotations
@@ -27,15 +25,13 @@ import signal
 import socket
 import threading
 import time
-import warnings
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import Callable, Deque, Dict, List, Optional
 
 __all__ = [
     "FlightRecorder",
     "get_global_recorder",
     "merge_flight_dumps",
-    "reset_wide_event_dedupe",
     "set_global_recorder",
     "wide_event",
 ]
@@ -168,8 +164,6 @@ class FlightRecorder:
 # -- process-global recorder + wide-event helper -----------------------
 
 _global_recorder: Optional[FlightRecorder] = None
-_emitted: Set[Tuple[str, str]] = set()
-_emitted_lock = threading.Lock()
 
 
 def set_global_recorder(recorder: Optional[FlightRecorder]) -> None:
@@ -182,45 +176,18 @@ def get_global_recorder() -> Optional[FlightRecorder]:
     return _global_recorder
 
 
-def reset_wide_event_dedupe(kind: Optional[str] = None) -> None:
-    """Forget dedupe keys — all of them, or just one event kind's."""
-    with _emitted_lock:
-        if kind is None:
-            _emitted.clear()
-        else:
-            for key in [k for k in _emitted if k[0] == kind]:
-                _emitted.discard(key)
-
-
 def wide_event(
     kind: str,
     *,
     recorder: Optional[FlightRecorder] = None,
-    dedupe: Optional[str] = None,
-    warn: Optional[str] = None,
-    stacklevel: int = 2,
     **fields: object,
 ) -> Optional[dict]:
-    """Record a structured wide event; optionally warn once.
+    """Record a structured wide event into *recorder* or the global one.
 
-    With ``dedupe`` set, only the first event per ``(kind, dedupe)``
-    key is recorded (and warned about) — later occurrences are silent
-    no-ops, matching the old one-``warnings.warn``-per-site behaviour.
-    Without it, every call records.  ``warn`` additionally raises a
-    ``RuntimeWarning`` with the given message (once per dedupe key, or
-    every time when undeduplicated).
+    Returns the stored event, or None when no recorder is installed.
     """
-    if dedupe is not None:
-        key = (kind, dedupe)
-        with _emitted_lock:
-            if key in _emitted:
-                return None
-            _emitted.add(key)
     rec = recorder if recorder is not None else _global_recorder
-    event = rec.record(kind, **fields) if rec is not None else None
-    if warn is not None:
-        warnings.warn(warn, RuntimeWarning, stacklevel=stacklevel)
-    return event
+    return rec.record(kind, **fields) if rec is not None else None
 
 
 def _merge_key_offset(events: List[dict]) -> Optional[float]:

@@ -75,9 +75,6 @@ DEFAULT_COMPONENT_RULES: Tuple[ComponentRule, ...] = (
     # Observability's own machinery: a sample landing in repro.obs is
     # obs cost even when a broker frame sits deeper down.
     ("repro/obs/", None, "obs"),
-    # Generated handler code carries a synthetic filename (see
-    # repro.ir.codegen): executing it is modulation work.
-    ("<codegen ", None, "modulate"),
     ("repro/serialization/", None, "serialization"),
     ("repro/net/framing", None, "framing"),
     ("repro/core/continuation", None, "codec"),

@@ -11,11 +11,10 @@ Usage::
 benchmark suite (``pytest benchmarks/ --benchmark-only``) runs the
 full-size versions and asserts the paper's shapes.
 
-``--backend {compiled,tree,codegen}`` selects the execution backend for
-the adaptive (Method Partitioning) runs.  All three produce byte-identical
+``--backend {compiled,tree}`` selects the execution backend for the
+adaptive (Method Partitioning) runs.  Both produce byte-identical
 results; ``tree`` is the reference tree-walking interpreter, ``compiled``
-(the default) is the closure-compiled fast path, ``codegen`` lowers each
-handler to generated Python source once and runs the compiled module.
+(the default) is the closure-compiled fast path.
 
 ``--obs-report FILE`` attaches an :class:`repro.obs.Observability` to the
 adaptive (Method Partitioning) runs, prints the instrumentation report
@@ -126,11 +125,10 @@ def main(argv=None) -> int:
     parser.add_argument("--quick", action="store_true")
     parser.add_argument(
         "--backend",
-        choices=("compiled", "tree", "codegen"),
+        choices=("compiled", "tree"),
         default="compiled",
         help="execution backend for the Method Partitioning version "
-        "(default: compiled; 'tree' is the reference tree-walker, "
-        "'codegen' lowers handlers to generated Python source)",
+        "(default: compiled; 'tree' is the reference tree-walker)",
     )
     parser.add_argument(
         "--obs-report",

@@ -1,8 +1,8 @@
-"""Differential suite: the compiled and codegen backends are byte-identical
-to the tree walker.
+"""Differential suite: the compiled backend is byte-identical to the tree
+walker.
 
 Every sample application handler is pushed through a modulator/demodulator
-pair under *all three* execution backends, across every usable partitioning plan
+pair under *both* execution backends, across every usable partitioning plan
 — including a single-edge plan for each non-poisoned PSE, so resume from a
 continuation is exercised at every split point.  Compared per message:
 
@@ -42,7 +42,7 @@ from repro.serialization import SerializerRegistry
 from repro.simnet import Simulator, intel_pair, wireless_testbed
 from tests.conftest import PUSH_SOURCE, ImageData
 
-BACKENDS = ("tree", "compiled", "codegen")
+BACKENDS = ("tree", "compiled")
 
 
 def _all_plans(cut):

@@ -1,4 +1,4 @@
-"""Flight recorder: bounded ring, crash dumps, wide-event dedupe."""
+"""Flight recorder: bounded ring, crash dumps, wide events."""
 
 import json
 
@@ -8,7 +8,6 @@ from repro.obs.flight import (
     FlightRecorder,
     get_global_recorder,
     merge_flight_dumps,
-    reset_wide_event_dedupe,
     set_global_recorder,
     wide_event,
 )
@@ -18,10 +17,8 @@ from repro.obs.flight import (
 def _clean_global_state():
     prev = get_global_recorder()
     set_global_recorder(None)
-    reset_wide_event_dedupe()
     yield
     set_global_recorder(prev)
-    reset_wide_event_dedupe()
 
 
 def _fake_clock(start=100.0, step=1.0):
@@ -99,7 +96,7 @@ class TestFlightRecorder:
 
 class TestWideEvent:
     def test_no_global_recorder_is_a_safe_noop(self):
-        assert wide_event("codegen.fallback", reason="loop") is None
+        assert wide_event("net.reconnect", peer="r0") is None
 
     def test_records_into_global_recorder(self):
         rec = FlightRecorder(host="h")
@@ -116,49 +113,6 @@ class TestWideEvent:
         wide_event("x", recorder=local_rec)
         assert local_rec.count("x") == 1
         assert global_rec.count("x") == 0
-
-    def test_dedupe_records_and_warns_once(self):
-        rec = FlightRecorder(host="h")
-        set_global_recorder(rec)
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            first = wide_event(
-                "codegen.fallback",
-                dedupe="f:loop",
-                warn="falling back to interpreter",
-                fn="f",
-            )
-        assert first is not None
-        # Second occurrence: no event, no warning.
-        import warnings as _warnings
-
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("error")
-            second = wide_event(
-                "codegen.fallback",
-                dedupe="f:loop",
-                warn="falling back to interpreter",
-                fn="f",
-            )
-        assert second is None
-        assert rec.count("codegen.fallback") == 1
-        # A different dedupe key under the same kind still records.
-        with pytest.warns(RuntimeWarning):
-            wide_event(
-                "codegen.fallback", dedupe="g:closure", warn="other", fn="g"
-            )
-        assert rec.count("codegen.fallback") == 2
-
-    def test_reset_dedupe_restores_emission(self):
-        rec = FlightRecorder(host="h")
-        set_global_recorder(rec)
-        wide_event("a", dedupe="k")
-        wide_event("b", dedupe="k")
-        assert wide_event("a", dedupe="k") is None
-        reset_wide_event_dedupe("a")
-        assert wide_event("a", dedupe="k") is not None
-        assert wide_event("b", dedupe="k") is None
-        reset_wide_event_dedupe()
-        assert wide_event("b", dedupe="k") is not None
 
 
 class TestMergeFlightDumps:

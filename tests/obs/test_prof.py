@@ -78,12 +78,6 @@ def test_obs_machinery_is_named_not_hidden():
     assert p.components == {"obs": 1}
 
 
-def test_codegen_synthetic_filenames_attribute_to_modulate():
-    p = _prof()
-    p.ingest([("<codegen sensor_handler>", "sensor_handler")])
-    assert p.components == {"modulate": 1}
-
-
 def test_no_matching_frame_falls_into_other():
     p = _prof()
     p.ingest([("/somewhere/else.py", "main")])
